@@ -50,13 +50,6 @@ def _report(name, max_error, samples, tol, details="", seed=None) -> CheckReport
     return CheckReport(name, max_error, samples, tol, max_error < tol, details, seed)
 
 
-def _eval_policy(ws: MapWorkspace) -> TruncationPolicy:
-    terms = ws.policy.tail_terms
-    for chart in ws._charts.values():
-        terms = max(terms, chart.policy.tail_terms)
-    return TruncationPolicy(terms, ws.policy.phase_tol)
-
-
 # ---------------------------------------------------------------------------
 # negative-control map wrappers (duck-typed against CircleMap)
 
@@ -71,6 +64,9 @@ class OffsetControlMap:
 
     def apply_many(self, thetas):
         return np.mod(self.base.apply_many(thetas) + self.delta, TWO_PI)
+
+    def transfer_policies(self, j):
+        return self.base.transfer_policies(j)
 
     def apply(self, theta):
         th = theta.theta if isinstance(theta, UnitPoint) else float(theta)
@@ -122,18 +118,30 @@ def check_invariance(
     policy: TruncationPolicy | None = None,
     name: str = "invariance",
 ) -> CheckReport:
-    """sup |Theta(x(theta)) - Theta(theta)| over the validity domain."""
+    """sup |Theta(x(theta)) - Theta(theta)| over the validity domain.
+
+    Theta(theta) is evaluated at the policy of the chart of theta's arc and
+    Theta(x(theta)) at the policy of the chart that arc is carried to, so
+    the result does not depend on which charts were built before.  An
+    explicit policy is used on both sides instead.
+    """
     ws = getattr(mp, "workspace", None)
-    if policy is None:
-        policy = _eval_policy(ws) if ws is not None else TruncationPolicy()
     per_arc = max(8, n_samples // max(1, getattr(ws, "n", 1) or 1))
     pts = mp.sample_points(per_arc, DEFAULT_GUARD)
     if pts.size == 0:
         return _report(name, math.inf, 0, tol, "empty validity domain")
     images = mp.apply_many(pts)
-    diff = np.exp(1j * phase_lift(spec, images, policy)) - np.exp(
-        1j * phase_lift(spec, pts, policy)
-    )
+    if policy is not None:
+        before, after = phase_lift(spec, pts, policy), phase_lift(spec, images, policy)
+    else:
+        before, after = np.empty_like(pts), np.empty_like(pts)
+        arcs = ws.arc_index(pts)
+        for j in np.unique(arcs):
+            sel = arcs == j
+            src_policy, tgt_policy = mp.transfer_policies(int(j))
+            before[sel] = phase_lift(spec, pts[sel], src_policy)
+            after[sel] = phase_lift(spec, images[sel], tgt_policy)
+    diff = np.exp(1j * after) - np.exp(1j * before)
     err = float(np.max(np.abs(diff)))
     worst = int(np.argmax(np.abs(diff)))
     return _report(

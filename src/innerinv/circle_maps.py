@@ -202,18 +202,26 @@ class CircleMap:
 
         ws = self.workspace
         t = canon_angle(theta)
-        if ws.n == 0:
-            j = 0
-        else:
-            j = int(np.searchsorted(ws.angles_arr, t, side="right") - 1) % ws.n
-            if self.interval_shift == 0 and self.offsets[j] == 0.0:
-                return 0.0
+        j = int(ws.arc_index(t))
+        if ws.n and self.interval_shift == 0 and self.offsets[j] == 0.0:
+            return 0.0
         image = self.apply(t)
         src = ws.chart(j)
         tgt = ws.chart((j + self.interval_shift) % max(ws.n, 1))
         budget = src.cert_bound + tgt.cert_bound + 1e-14
         slope = phase_derivative(ws.spec, image, tgt.policy)
         return budget / slope
+
+    def transfer_policies(self, j: int) -> tuple[TruncationPolicy, TruncationPolicy]:
+        """Truncation policies of the charts that arc j is carried between.
+
+        An arc the map leaves fixed needs no chart; both sides then get the
+        workspace policy.
+        """
+        ws = self.workspace
+        if self.interval_shift == 0 and self.offsets[j % max(ws.n, 1)] == 0.0:
+            return ws.policy, ws.policy
+        return ws.chart(j).policy, ws.chart(j + self.interval_shift).policy
 
     def domain(self, j: int):
         """Validity sub-interval of arc j in arc coordinates, or None."""
@@ -308,6 +316,13 @@ class MapWorkspace:
         lo = self.angles[j]
         hi = self.angles[j + 1] if j + 1 < self.n else self.angles[0] + TWO_PI
         return (lo, hi)
+
+    def arc_index(self, thetas):
+        """Index of the arc [angles[j], angles[j+1]) holding each angle."""
+        th = np.mod(thetas, TWO_PI)
+        if self.n == 0:
+            return np.zeros_like(th, dtype=int)
+        return (np.searchsorted(self.angles_arr, th, side="right") - 1) % self.n
 
     def chart(self, j: int) -> PhaseChart:
         j %= max(self.n, 1)

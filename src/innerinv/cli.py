@@ -22,6 +22,18 @@ from .checks import run_all_checks
 from .document import parse_document
 
 
+def _create_csv(path: Path):
+    """Open ``path`` for writing as a new file, removing any old one first.
+
+    Truncating an existing file and rewriting it makes ext4 flush it to disk
+    on close (its replace-via-truncate safeguard), and the next rewrite then
+    waits for that flush, tens of milliseconds per file when a command is
+    re-run into the same --out directory.  A new file is written back lazily.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
@@ -127,7 +139,7 @@ def _cmd_maps(args) -> int:
         pts = mp.sample_points(args.samples)
         images = mp.apply_many(pts)
         path = args.out / f"map_{name}.csv"
-        with open(path, "w", newline="") as fh:
+        with _create_csv(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "x_theta", "theta_err_cert"])
             for t, x in zip(pts, images):
@@ -181,7 +193,7 @@ def _cmd_emit(args) -> int:
         grid = grid[keep]
         phases = chart.phase_of(grid)
         path = args.out / f"emit_arc{j}.csv"
-        with open(path, "w", newline="") as fh:
+        with _create_csv(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "arg_theta_unwrapped", "derivative"])
             for t, p in zip(grid, phases):

@@ -2,13 +2,15 @@
 
 A document carries the function data (constant argument, monomial order,
 zero list, tail families, atoms) plus the truncation settings.  Parsing is
-strict: unknown keys, wrong types, and out-of-range values fail with the
-offending field path in the message.
+strict: unknown keys, wrong types, non-finite numbers (JSON NaN and
+Infinity) and out-of-range values fail with the offending field path in the
+exception's ``path`` and message.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import RangeError, SchemaError
@@ -47,31 +49,41 @@ def _expect_list(obj, path: str) -> list:
     return obj
 
 
+def _field(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _reject_unknown(m: dict, allowed: set, path: str):
     for key in m:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}" if path else key, "unknown field")
+            raise SchemaError(_field(path, key), "unknown field")
 
 
 def _number(m: dict, key: str, path: str, default=None) -> float:
     if key not in m:
         if default is None:
-            raise SchemaError(f"{path}.{key}", "required field missing")
+            raise SchemaError(_field(path, key), "required field missing")
         return default
     v = m[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(f"{path}.{key}", f"expected a number, got {type(v).__name__}")
-    return float(v)
+        raise SchemaError(_field(path, key), f"expected a number, got {type(v).__name__}")
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise RangeError(_field(path, key), f"must be finite, got {x}")
+    return x
 
 
 def _integer(m: dict, key: str, path: str, default=None) -> int:
     if key not in m:
         if default is None:
-            raise SchemaError(f"{path}.{key}", "required field missing")
+            raise SchemaError(_field(path, key), "required field missing")
         return default
     v = m[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
+        raise SchemaError(_field(path, key), f"expected an integer, got {type(v).__name__}")
     return v
 
 

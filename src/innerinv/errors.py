@@ -55,7 +55,7 @@ class SchemaError(InnerInvError):
     ``path`` points at the offending field, e.g. ``zeros[3].angle``.
     """
 
-    def __init__(self, message: str, path: str = ""):
+    def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 

@@ -13,7 +13,7 @@ The central objects are:
   * ``phase_lift``: the truncated global phase function, smooth away from
     atom angles, strictly increasing.
   * ``PhaseChart``: a monotone sampled lift of the phase on one arc with a
-    certified truncation bound and a bisection inverse.
+    certified truncation bound and a safeguarded Newton inverse.
   * ``truncation_error_bound``: a rigorous sup bound on the phase error of
     the truncation on an arc, with closed-form remainders for both tail
     families.
@@ -22,7 +22,9 @@ The central objects are:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -325,52 +327,121 @@ def eval_factor(zero: DiskZero, point: UnitPoint) -> complex:
     return cmath.exp(1j * float(phase))
 
 
-def _tail_phase_terms(tail: TailFamily, theta: np.ndarray, count: int) -> np.ndarray:
-    """Sum of centered factor phases of the first ``count`` tail terms."""
+# Point-term elements the tail kernel holds at once; bounds its memory.
+_BLOCK_ELEMENTS = 1 << 18
+
+# Work arrays of the tail kernel, one set per thread, kept between calls so
+# their pages stay mapped; arrays of this size freed after every call go back
+# to the system and are faulted in again on the next.
+_work = threading.local()
+
+
+def _work_arrays(size: int) -> tuple[np.ndarray, ...]:
+    """Four float arrays of at least ``size`` elements for this thread."""
+    arrays = getattr(_work, "arrays", ())
+    if not arrays or arrays[0].size < size:
+        arrays = tuple(np.empty(max(size, _BLOCK_ELEMENTS)) for _ in range(4))
+        _work.arrays = arrays
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _tail_coefficients(tail: TailFamily, count: int) -> tuple[np.ndarray, ...]:
+    """Zero angles phi, moduli r, r^2 and 1 - r^2 of the first count terms."""
     delta, phi = tail.terms(count)
-    u = theta[..., None] - phi
-    return blaschke_phase(1.0 - delta, u).sum(axis=-1)
+    r = 1.0 - delta
+    r2 = r * r
+    out = (phi, r, r2, 1.0 - r2)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
-def _tail_derivative_terms(tail: TailFamily, theta: np.ndarray, count: int) -> np.ndarray:
-    delta, phi = tail.terms(count)
-    u = theta[..., None] - phi
-    return poisson_kernel(1.0 - delta, u).sum(axis=-1)
+def _tail_sums(tail: TailFamily, theta: np.ndarray, count: int, with_slope: bool):
+    """Phase sums of the first ``count`` tail terms at each point, and the
+    slope sums (Poisson kernels) when asked, from one shared sine and cosine.
+
+    Points go through in blocks of at most _BLOCK_ELEMENTS point-term
+    elements.  Each point's terms are summed along their own row, so the
+    sums do not depend on the block size or on the number of points.
+    """
+    phi, r, r2, one_minus_r2 = _tail_coefficients(tail, count)
+    flat = theta.reshape(-1)
+    phase = np.empty(flat.size)
+    slope = np.empty(flat.size) if with_slope else None
+    rows = max(1, _BLOCK_ELEMENTS // count)
+    work = _work_arrays(min(rows, flat.size) * count)
+    for start in range(0, flat.size, rows):
+        block = slice(start, start + rows)
+        u, rs, rc, den = (w[: flat[block].size * count].reshape(-1, count) for w in work)
+        np.subtract(flat[block, None], phi, out=u)
+        np.sin(u, out=rs)
+        rs *= r
+        np.cos(u, out=rc)
+        rc *= r
+        # blaschke_phase: u - pi + 2 * atan2(r sin u, 1 - r cos u)
+        np.subtract(1.0, rc, out=den)
+        at = np.arctan2(rs, den, out=rs)
+        at *= 2.0
+        u -= math.pi
+        u += at
+        phase[block] = u.sum(axis=-1)
+        if with_slope:
+            # poisson_kernel: (1 - r^2) / (1 - 2 r cos u + r^2); doubling is exact
+            rc *= 2.0
+            np.subtract(1.0, rc, out=rc)
+            rc += r2
+            np.divide(one_minus_r2, rc, out=rc)
+            slope[block] = rc.sum(axis=-1)
+    return phase.reshape(theta.shape), slope.reshape(theta.shape) if with_slope else None
 
 
-def phase_lift(spec: InnerFunctionSpec, theta, policy: TruncationPolicy):
+def _add_rows(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """first + rows[0] + rows[1] + ... per point, added strictly left to right."""
+    stacked = np.concatenate([first.reshape(1, -1), rows])
+    return np.add.accumulate(stacked, axis=0, out=stacked)[-1].reshape(first.shape)
+
+
+def phase_lift(spec: InnerFunctionSpec, theta, policy: TruncationPolicy, with_slope: bool = False):
     """Truncated global phase of the inner function, as a real lift.
 
     Smooth and strictly increasing away from atom angles; the atomic terms
     blow up to -inf/+inf across each atom.  All arcs share this one lift,
-    which is what makes phases comparable across charts.
+    which is what makes phases comparable across charts.  With
+    ``with_slope`` the result is ``(phase, slope)``, the slope being the
+    derivative of the same truncated lift, computed in the same pass.
     """
     th = np.asarray(theta, dtype=float)
     total = spec.constant_arg + spec.zero_order * th
+    slope = np.full(th.shape, float(spec.zero_order))
     for z in spec.zeros:
-        total = total + z.multiplicity * blaschke_phase(z.modulus, th - z.argument)
+        u = th - z.argument
+        total = total + z.multiplicity * blaschke_phase(z.modulus, u)
+        if with_slope:
+            slope = slope + z.multiplicity * poisson_kernel(z.modulus, u)
     for tail in spec.tails:
-        total = total + _tail_phase_terms(tail, th, policy.tail_terms)
-    for atom in spec.atoms:
-        total = total + atom_phase(atom.mass, th - atom.theta)
+        tail_phase, tail_slope = _tail_sums(tail, th, policy.tail_terms, with_slope)
+        total = total + tail_phase
+        if with_slope:
+            slope = slope + tail_slope
+    if spec.atoms:
+        # all atoms at once, rows of (atom, point); the running sums still
+        # add the atoms one after another, as a loop over atoms would
+        mass = np.array([a.mass for a in spec.atoms])[:, None]
+        v = th.reshape(1, -1) - np.array([a.theta for a in spec.atoms])[:, None]
+        total = _add_rows(total, atom_phase(mass, v))
+        if with_slope:
+            slope = _add_rows(slope, atom_phase_derivative(mass, v))
     if np.ndim(theta) == 0:
-        return float(total)
-    return total
+        total, slope = float(total), float(slope)
+    return (total, slope) if with_slope else total
 
 
 def phase_derivative(spec: InnerFunctionSpec, point: UnitPoint, policy: TruncationPolicy) -> float:
     """d/dtheta of the boundary phase at a regular point.  Always positive."""
     if spec.is_singular_angle(point.theta):
         raise SingularPointError(f"angle {point.theta} is in the spectrum")
-    th = np.asarray(point.theta, dtype=float)
-    total = float(spec.zero_order)
-    for z in spec.zeros:
-        total += z.multiplicity * float(poisson_kernel(z.modulus, th - z.argument))
-    for tail in spec.tails:
-        total += float(_tail_derivative_terms(tail, th, policy.tail_terms))
-    for atom in spec.atoms:
-        total += float(atom_phase_derivative(atom.mass, point.theta - atom.theta))
-    return total
+    return phase_lift(spec, point.theta, policy, with_slope=True)[1]
 
 
 def eval_inner(spec: InnerFunctionSpec, point: UnitPoint, policy: TruncationPolicy) -> complex:
@@ -593,12 +664,19 @@ class PhaseChart:
         return float(self.invert_lift_many(np.asarray([target]))[0])
 
     def invert_lift_many(self, targets: np.ndarray) -> np.ndarray:
-        """Vectorized monotone inversion by bracketed bisection.
+        """Vectorized monotone inversion by safeguarded Newton iteration.
 
-        Bisection runs until the bracket is below 1e-15 radians (about 64
-        halvings), which meets phase_tol through strict monotonicity alone.
+        Each target starts at the linear interpolation between its two
+        bracketing chart nodes.  An iteration evaluates the phase and its
+        slope once, shrinks the bracket by the sign of the residual, and
+        takes the Newton step, or the bracket midpoint when that step would
+        not land strictly inside the bracket; so every answer stays inside
+        its node bracket.  A target stops when its residual is exactly zero,
+        its step is at most 2 ulp, or its bracket is below 1e-15 radians.
         """
         t = np.asarray(targets, dtype=float)
+        shape = t.shape
+        t = t.reshape(-1)
         shift = np.zeros_like(t)
         if self.periodic:
             k = np.floor((t - self.phase_lo) / self.winding)
@@ -615,14 +693,31 @@ class PhaseChart:
         idx = np.clip(idx, 1, len(self.phases) - 1)
         lo = self.thetas[idx - 1].copy()
         hi = self.thetas[idx].copy()
+        p_lo = self.phases[idx - 1]
+        x = lo + (t - p_lo) / (self.phases[idx] - p_lo) * (hi - lo)
+        x = np.clip(x, lo, hi)
+        active = np.arange(t.size)
         for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_low = self.phase_of(mid) < t
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-            if np.max(hi - lo) < 1e-15:
+            if active.size == 0:
                 break
-        return 0.5 * (lo + hi) + shift
+            xa, ta = x[active], t[active]
+            phase, slope = phase_lift(self.spec, xa, self.policy, with_slope=True)
+            resid = phase - ta
+            la = np.where(resid < 0.0, xa, lo[active])
+            ha = np.where(resid > 0.0, xa, hi[active])
+            lo[active], hi[active] = la, ha
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = xa - resid / slope
+            # a step of at most 2 ulp has converged; any other step must land
+            # strictly inside the bracket, whose ends are already evaluated
+            tiny = np.abs(newton - xa) <= 2.0 * np.spacing(np.abs(xa))
+            inside = (newton > la) & (newton < ha)
+            xn = np.where(inside, newton, 0.5 * (la + ha))
+            xn = np.where(tiny, np.clip(newton, la, ha), xn)
+            x[active] = np.where(resid == 0.0, xa, xn)
+            done = (resid == 0.0) | tiny | (ha - la < 1e-15)
+            active = active[~done]
+        return (x + shift).reshape(shape)
 
 
 def phase_inverse(chart: PhaseChart, target_phase: float) -> UnitPoint:

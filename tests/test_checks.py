@@ -104,6 +104,19 @@ class TestGeneratorChecks:
         rep = check_bijection(x1)
         assert rep.passed
 
+    def test_invariance_independent_of_built_charts(self):
+        # the Stolz tail with q close to 1 needs far more than the default
+        # 64 terms; the first call must not evaluate before charts exist
+        spec = InnerFunctionSpec(
+            tails=(StolzTail(0.0, c=0.5, q=0.999),), atoms=(Atom(math.pi, 1.0),)
+        )
+        ws = MapWorkspace(classify_intervals(spec))
+        x1 = ws.build_shift_map(ws.descriptor.type2_indices[0])
+        first = check_invariance(spec, x1)
+        second = check_invariance(spec, x1)
+        assert first.passed, first
+        assert first.max_error == second.max_error
+
     def test_relations_two_atoms(self, two_atom_report):
         ws = MapWorkspace(two_atom_report)
         rep = check_relations(ws, seed=2)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -140,6 +141,20 @@ class TestEmitCommand:
         phases = [float(r[1]) for r in rows[1:]]
         assert phases == sorted(phases)
         assert all(float(r[2]) > 0 for r in rows[1:])
+
+    def test_rerun_writes_new_files(self, two_atom_path, tmp_path):
+        # an old output is replaced by a new file, not truncated in place
+        out_dir = tmp_path / "emit"
+        argv = ["emit", str(two_atom_path), "--out", str(out_dir), "--samples", "32"]
+        assert run(argv) == 0
+        path = out_dir / "emit_arc0.csv"
+        first = path.read_text()
+        kept = tmp_path / "kept.csv"
+        os.link(path, kept)
+        path.write_text("stale\n")
+        assert run(argv) == 0
+        assert path.read_text() == first
+        assert kept.read_text() == "stale\n"
 
 
 class TestErrors:

@@ -96,6 +96,43 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=r"zeros\[0\].modulus"):
             parse_document('{"zeros": [{"modulus": 1.5, "argument": 0}]}')
 
+    def test_path_attribute_names_the_field(self):
+        with pytest.raises(RangeError) as info:
+            parse_document('{"zeros": [{"modulus": 1.5, "argument": 0}]}')
+        assert info.value.path == "zeros[0].modulus"
+        assert str(info.value).startswith("zeros[0].modulus: must lie in [0, 1)")
+
+    def test_path_attribute_of_schema_errors(self):
+        cases = {
+            '{"atom": []}': "atom",
+            '{"atoms": [{"theta": 0}]}': "atoms[0].mass",
+            '{"constant_arg": "x"}': "constant_arg",
+            '{"tails": [{"kind": "TangentialSummable", "anchor_theta": 0}]}': "tails[0].side",
+            '{"truncation": {"tail_terms": 0}}': "truncation.tail_terms",
+        }
+        for text, path in cases.items():
+            with pytest.raises(SchemaError) as info:
+                parse_document(text)
+            assert info.value.path == path, text
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ('{"atoms": [{"theta": NaN, "mass": 1}]}', "atoms[0].theta"),
+            ('{"zeros": [{"modulus": 0.5, "argument": Infinity}]}', "zeros[0].argument"),
+            ('{"atoms": [{"theta": 1, "mass": Infinity}]}', "atoms[0].mass"),
+            ('{"zeros": [{"modulus": NaN, "argument": 0}]}', "zeros[0].modulus"),
+            ('{"constant_arg": -Infinity}', "constant_arg"),
+            ('{"truncation": {"phase_tol": Infinity}}', "truncation.phase_tol"),
+            ('{"atoms": [{"theta": 1, "mass": 1' + "0" * 400 + '}]}', "atoms[0].mass"),
+        ],
+        ids=["angle", "argument", "mass", "modulus", "constant_arg", "phase_tol", "huge_int"],
+    )
+    def test_non_finite_numbers_rejected(self, text, path):
+        with pytest.raises(RangeError, match="finite") as info:
+            parse_document(text)
+        assert info.value.path == path
+
     def test_modulus_range_is_range_error(self):
         with pytest.raises(RangeError):
             parse_document('{"zeros": [{"modulus": 1.0, "argument": 0}]}')

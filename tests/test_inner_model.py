@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from innerinv import (
     poisson_kernel,
     truncation_error_bound,
 )
+from innerinv.inner_model import _BLOCK_ELEMENTS
 
 TWO_PI = 2.0 * math.pi
 
@@ -380,3 +382,153 @@ class TestPhaseCharts:
         assert ch.cert_bound <= 1e-9
         assert ch.policy.tail_terms >= 4
         assert ch.policy.phase_tol == 1e-9
+
+
+def _unblocked_phase(spec, theta, policy):
+    """The phase lift summed the direct way, every point-term element at once."""
+    th = np.asarray(theta, dtype=float)
+    total = spec.constant_arg + spec.zero_order * th
+    for z in spec.zeros:
+        total = total + z.multiplicity * blaschke_phase(z.modulus, th - z.argument)
+    for tail in spec.tails:
+        delta, phi = tail.terms(policy.tail_terms)
+        total = total + blaschke_phase(1.0 - delta, th[..., None] - phi).sum(axis=-1)
+    for atom in spec.atoms:
+        total = total + atom_phase(atom.mass, th - atom.theta)
+    return total
+
+
+def _bisection_oracle(chart, target):
+    """Reference inverse: bisect the node bracket of target down to adjacent
+    floats.  Returns the answer and the bracket."""
+    i = int(np.clip(np.searchsorted(chart.phases, target, side="right"), 1, len(chart.phases) - 1))
+    bracket = (float(chart.thetas[i - 1]), float(chart.thetas[i]))
+    lo, hi = bracket
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid, bracket
+        if chart.phase_of(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+# Each spec carries enough slope (a zero at the origin or an atom) that the
+# phase rounding, divided by the slope, stays below 1e-14 rad: no inverse is
+# determined more finely than that, so the 1e-14 agreement is meaningful.
+_INVERSION_SPECS = {
+    "atom": (InnerFunctionSpec(atoms=(Atom(0.0, 1.0), Atom(math.pi, 1.0))), (0.0, math.pi)),
+    "stolz": (
+        InnerFunctionSpec(zero_order=3, tails=(StolzTail(0.0, c=0.5, q=0.5),)),
+        (0.0, TWO_PI),
+    ),
+    "tangential": (
+        InnerFunctionSpec(
+            zero_order=2, tails=(TangentialTail(0.0, "upper", 6.0),), atoms=(Atom(math.pi, 1.0),)
+        ),
+        (0.0, math.pi),
+    ),
+    "periodic": (InnerFunctionSpec(zero_order=5), (0.0, TWO_PI)),
+}
+_INVERSION_CHARTS = {}
+
+
+def _inversion_chart(name):
+    if name not in _INVERSION_CHARTS:
+        spec, arc = _INVERSION_SPECS[name]
+        _INVERSION_CHARTS[name] = build_chart_auto(spec, arc, TruncationPolicy())
+    return _INVERSION_CHARTS[name]
+
+
+class TestNewtonInversion:
+    @pytest.mark.parametrize("name", sorted(_INVERSION_SPECS))
+    @given(frac=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_bisection_inside_bracket(self, name, frac):
+        ch = _inversion_chart(name)
+        target = ch.phase_lo + frac * (ch.phase_hi - ch.phase_lo)
+        got = ch.invert_lift(target)
+        want, (lo, hi) = _bisection_oracle(ch, target)
+        assert lo <= got <= hi
+        assert abs(got - want) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(_INVERSION_SPECS))
+    def test_batch_agrees_with_bisection(self, name):
+        ch = _inversion_chart(name)
+        targets = np.linspace(ch.phase_lo, ch.phase_hi, 41)
+        many = ch.invert_lift_many(targets)
+        want = np.array([_bisection_oracle(ch, t)[0] for t in targets])
+        assert np.max(np.abs(many - want)) <= 1e-14
+
+    def test_periodic_reduction_shifts_by_whole_turns(self):
+        ch = _inversion_chart("periodic")
+        target = ch.phase_lo + 0.3 * ch.winding
+        base = ch.invert_lift(target)
+        assert ch.invert_lift(target + 3.0 * ch.winding) == pytest.approx(
+            base + 3.0 * TWO_PI, abs=1e-13
+        )
+
+
+class TestTailKernel:
+    SPEC = InnerFunctionSpec(
+        constant_arg=0.3,
+        zero_order=1,
+        zeros=(DiskZero(0.6, 1.0, 2),),
+        tails=(StolzTail(0.5, c=0.5, q=0.9, t=0.3), TangentialTail(3.0, "upper", 4.0)),
+        atoms=(Atom(5.0, 0.7), Atom(2.0, 1.3)),
+    )
+
+    def test_blocked_lift_is_bitwise_unblocked(self):
+        policy = TruncationPolicy(tail_terms=1000)
+        block = _BLOCK_ELEMENTS // policy.tail_terms
+        rng = np.random.default_rng(3)
+        for n in (1, block - 1, block, block + 1):
+            th = rng.uniform(0.0, TWO_PI, n)
+            assert np.array_equal(
+                phase_lift(self.SPEC, th, policy), _unblocked_phase(self.SPEC, th, policy)
+            ), n
+        t = float(th[0])
+        assert phase_lift(self.SPEC, t, policy) == _unblocked_phase(self.SPEC, t, policy)
+
+    def test_threads_keep_their_own_work_arrays(self):
+        policy = TruncationPolicy(tail_terms=1000)
+        rng = np.random.default_rng(4)
+        inputs = [rng.uniform(0.0, TWO_PI, 600) for _ in range(8)]
+        want = [_unblocked_phase(self.SPEC, th, policy) for th in inputs]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda th: phase_lift(self.SPEC, th, policy), inputs))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_atoms_add_in_atom_order(self):
+        # 32 atoms: a pairwise sum over atoms would differ in the last bits
+        rng = np.random.default_rng(5)
+        spec = InnerFunctionSpec(
+            zero_order=1,
+            atoms=tuple(Atom(float(a), float(m)) for a, m in zip(
+                np.sort(rng.uniform(0.0, TWO_PI, 32)), rng.uniform(0.1, 3.0, 32)
+            )),
+        )
+        policy = TruncationPolicy()
+        for n in (1, 7, 100):
+            th = rng.uniform(0.0, TWO_PI, n)
+            assert np.array_equal(phase_lift(spec, th, policy), _unblocked_phase(spec, th, policy))
+
+    def test_slope_matches_derivative_and_differences(self):
+        policy = TruncationPolicy()
+        ts = np.array([0.3, 1.3, 2.6, 3.4, 4.6])
+        phase, slope = phase_lift(self.SPEC, ts, policy, with_slope=True)
+        assert np.array_equal(phase, phase_lift(self.SPEC, ts, policy))
+        h = 1e-3
+        for t, s in zip(ts, slope):
+            assert phase_lift(self.SPEC, t, policy, with_slope=True)[1] == phase_derivative(
+                self.SPEC, UnitPoint(t), policy
+            )
+            assert s == pytest.approx(phase_derivative(self.SPEC, UnitPoint(t), policy), rel=1e-13)
+            fd = (
+                phase_lift(self.SPEC, t - 2.0 * h, policy)
+                - 8.0 * phase_lift(self.SPEC, t - h, policy)
+                + 8.0 * phase_lift(self.SPEC, t + h, policy)
+                - phase_lift(self.SPEC, t + 2.0 * h, policy)
+            ) / (12.0 * h)
+            assert s == pytest.approx(fd, rel=1e-7)
