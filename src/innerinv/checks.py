@@ -21,7 +21,7 @@ from .inner_model import (
     InnerFunctionSpec,
     TruncationPolicy,
     UnitPoint,
-    canon_angle,
+    canon_angles,
     frostman_phase,
     phase_derivative,
     phase_lift,
@@ -29,7 +29,7 @@ from .inner_model import (
 )
 from .classify import TYPE_0, TYPE_1A, TYPE_1B, TYPE_2, SpectrumReport
 from .group_algebra import IntervalLabel, IntervalLabelSequence, compose, rotation_part
-from .circle_maps import CircleMap, MapWorkspace, compose_maps, invert_map
+from .circle_maps import MapWorkspace, compose_maps, invert_map
 
 DEFAULT_GUARD = 1e-3
 
@@ -68,12 +68,8 @@ class OffsetControlMap:
     def transfer_policies(self, j):
         return self.base.transfer_policies(j)
 
-    def apply(self, theta):
-        th = theta.theta if isinstance(theta, UnitPoint) else float(theta)
-        return UnitPoint(float(self.apply_many(np.asarray([th]))[0]))
-
-    def lift(self, theta):
-        return self.base.lift(theta) + self.delta
+    def lift_many(self, thetas):
+        return self.base.lift_many(thetas) + self.delta
 
     def sample_points(self, per_arc, guard=DEFAULT_GUARD):
         return self.base.sample_points(per_arc, guard)
@@ -94,13 +90,12 @@ class FoldedControlMap:
         th = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
         return np.mod(th + self._bump(th), TWO_PI)
 
-    def apply(self, theta):
-        th = theta.theta if isinstance(theta, UnitPoint) else float(theta)
-        return UnitPoint(float(self.apply_many(np.asarray([th]))[0]))
-
     def lift(self, theta):
-        t = canon_angle(theta)
-        return theta + float(self._bump(t))
+        return float(self.lift_many(np.asarray([theta], dtype=float))[0])
+
+    def lift_many(self, thetas):
+        th = np.asarray(thetas, dtype=float)
+        return th + self._bump(canon_angles(th))
 
     def sample_points(self, per_arc, guard=DEFAULT_GUARD):
         return np.linspace(guard, TWO_PI - guard, 4 * per_arc)
@@ -150,25 +145,28 @@ def check_invariance(
 
 
 def check_bijection(mp, n_samples: int = 512, tol: float = 1e-9, name: str = "bijection") -> CheckReport:
-    """Strict lift monotonicity, 2*pi wrap, and endpoint mapping."""
+    """Strict lift monotonicity, 2*pi wrap, and endpoint mapping.
+
+    One lift_many over the sampled grid, the spectrum points and the wrap
+    point grid[0] + 2*pi, and one apply_many over the spectrum points.
+    """
     ws = mp.workspace
     per_arc = max(8, n_samples // max(1, ws.n or 1))
     pts = np.sort(mp.sample_points(per_arc, DEFAULT_GUARD))
     if pts.size < 2:
         return _report(name, math.inf, int(pts.size), tol, "too few sample points")
-    sing = list(ws.angles)
-    grid = np.sort(np.concatenate([pts, np.asarray(sing)])) if sing else pts
-    lifts = np.array([mp.lift(float(t)) for t in grid])
-    diffs = np.diff(lifts)
+    grid = np.sort(np.concatenate([pts, ws.angles_arr])) if ws.n else pts
+    lifts = mp.lift_many(np.append(grid, grid[0] + TWO_PI))
+    wrap_err = abs(lifts[-1] - lifts[0] - TWO_PI)
+    diffs = np.diff(lifts[:-1])
     mono_err = max(0.0, float(-np.min(diffs))) if len(diffs) else 0.0
     strict = float(np.min(diffs)) > 0.0
-    t0 = float(grid[0])
-    wrap_err = abs(mp.lift(t0 + TWO_PI) - lifts[0] - TWO_PI)
     sing_err = 0.0
-    for i, a in enumerate(sing):
-        img = mp.apply(a).theta
-        target = ws.angles[(i + getattr(mp, "interval_shift", 0)) % ws.n]
-        sing_err = max(sing_err, abs(img - target))
+    if ws.n:
+        images = canon_angles(mp.apply_many(ws.angles_arr))
+        shift = getattr(mp, "interval_shift", 0)
+        targets = ws.angles_arr[(np.arange(ws.n) + shift) % ws.n]
+        sing_err = float(np.max(np.abs(images - targets)))
     err = max(mono_err if not strict else 0.0, wrap_err, sing_err)
     if not strict:
         err = max(err, 1.0)
@@ -420,21 +418,13 @@ def run_all_checks(
 ) -> list[CheckReport]:
     spec = report.spec
     ws = MapWorkspace(report, phase_window=phase_window)
-    desc = ws.descriptor
     out = [
         check_phase_derivative(spec, policy=report.policy, seed=seed),
         check_garnett_identity(seed=seed),
         check_frostman_types(report, seed=seed),
     ]
 
-    gens: list[tuple[str, CircleMap]] = []
-    if ws.n == 0:
-        gens.append(("x", ws.build_shift_map(0)))
-    else:
-        for slot, arc in enumerate(desc.type2_indices):
-            gens.append((f"x{slot + 1}", ws.build_shift_map(arc)))
-        if desc.d > 1:
-            gens.append(("y", ws.build_rotation_map(desc.g)))
+    gens = ws.generators()
     for gname, mp in gens:
         out.append(
             check_invariance(

@@ -5,6 +5,13 @@ offset per arc.  Applying the map moves a point from arc j to arc j+r along
 the phase charts: theta -> Phi_{j+r}^{-1}(Phi_j(theta) + c_j).  Offsets are
 exact multiples of 2*pi (snapped), so relations such as y^d = e hold at the
 offset level and numerical error enters only through chart inversion.
+
+All evaluation goes through one array routine, ``CircleMap._transfer``: it
+groups the points by arc (one stable sort), maps spectrum points exactly,
+and makes one chart inversion per arc.  ``apply_many`` reduces its images
+mod 2*pi and ``lift_many`` adds the whole turns back; ``apply`` and ``lift``
+are one-point wrappers.  Validity domains depend only on the transfer form
+of one arc, so the workspace computes each one once for all maps.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from .inner_model import (
     TruncationPolicy,
     UnitPoint,
     build_chart_auto,
-    canon_angle,
+    canon_angles,
+    phase_lift,
 )
 from .classify import TYPE_1A, TYPE_1B, TYPE_2, SpectrumReport
 from .group_algebra import (
@@ -114,103 +122,108 @@ class CircleMap:
     offsets: tuple[float, ...]
 
     # -- evaluation ------------------------------------------------------
+    def _transfer(self, th: np.ndarray):
+        """The arc dispatch under every evaluation, over canonical angles.
+
+        Returns per point its image on the lift of the target chart (raw),
+        the whole turns (j + r) // n that the arc index wraps, and whether
+        the point lies below angles[0], where its arc coordinate is
+        th + 2*pi.  Spectrum points go exactly onto spectrum points.  On an
+        arc the map fixes raw is th itself, with one more turn for a point
+        below angles[0], so that raw mod 2*pi is the point, bitwise.
+        """
+        ws = self.workspace
+        m = max(ws.n, 1)
+        r = self.interval_shift
+        raw = np.empty_like(th)
+        turns = np.zeros_like(th)
+        if ws.n:
+            arc = np.searchsorted(ws.angles_arr, th, side="right") - 1
+            wrapped = arc < 0
+            arc[wrapped] = ws.n - 1
+            coords = np.where(wrapped, th + TWO_PI, th)
+            hit = th == ws.angles_arr[arc]
+            dest = arc[hit] + r
+            raw[hit] = ws.angles_arr[dest % ws.n]
+            turns[hit] = dest // ws.n
+            arc[hit] = ws.n  # a group of their own, never visited below
+        else:
+            arc = np.zeros(th.shape, dtype=np.intp)
+            wrapped = np.zeros(th.shape, dtype=bool)
+            coords = th
+        for j, sel in _groups(arc, m):
+            c = self.offsets[j]
+            if r == 0 and c == 0.0:
+                raw[sel] = th[sel]
+                turns[sel] = wrapped[sel]
+                continue
+            src = ws.chart(j)
+            x = coords[sel]
+            if np.any(x < src.thetas[0] - 1e-12) or np.any(x > src.thetas[-1] + 1e-12):
+                raise DomainError(f"point outside the certified domain of arc {j}")
+            tgt = ws.chart((j + r) % m)
+            try:
+                raw[sel] = tgt.invert_lift_many(src.phase_of(x) + c)
+            except PhaseRangeError as exc:
+                raise DomainError(str(exc)) from None
+            turns[sel] = (j + r) // m
+        return raw, turns, wrapped
+
     def apply(self, theta) -> UnitPoint:
         th = theta.theta if isinstance(theta, UnitPoint) else float(theta)
         return UnitPoint(float(self.apply_many(np.asarray([th]))[0]))
 
     def apply_many(self, thetas) -> np.ndarray:
-        ws = self.workspace
-        th = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
-        th[th >= TWO_PI] = 0.0
-        if ws.n == 0:
-            c = self.offsets[0]
-            if c == 0.0:
-                return th.copy()
-            chart = ws.chart(0)
-            res = chart.invert_lift_many(chart.phase_of(th) + c)
-            return np.mod(res, TWO_PI)
-        out = np.full_like(th, np.nan)
-        r = self.interval_shift
-        done = np.zeros(th.shape, dtype=bool)
-        for i, a in enumerate(ws.angles):
-            hit = th == a
-            if hit.any():
-                out[hit] = ws.angles[(i + r) % ws.n]
-                done[hit] = True
-        coords = th.copy()
-        j_idx = np.searchsorted(ws.angles_arr, th, side="right") - 1
-        wrap = j_idx < 0
-        coords[wrap] += TWO_PI
-        j_idx[wrap] = ws.n - 1
-        for j in np.unique(j_idx[~done]):
-            sel = (j_idx == j) & ~done
-            c = self.offsets[j]
-            if r == 0 and c == 0.0:
-                out[sel] = th[sel]
-                continue
-            src = ws.chart(j)
-            x = coords[sel]
-            if np.any(x < src.thetas[0] - 1e-12) or np.any(x > src.thetas[-1] + 1e-12):
-                raise DomainError(
-                    f"point outside the certified domain of arc {j}"
-                )
-            tgt = ws.chart((j + r) % ws.n)
-            try:
-                res = tgt.invert_lift_many(src.phase_of(x) + c)
-            except PhaseRangeError as exc:
-                raise DomainError(str(exc)) from None
-            out[sel] = np.mod(res, TWO_PI)
-        return out
+        th = canon_angles(thetas)
+        raw, _, _ = self._transfer(th.reshape(-1))
+        return np.mod(raw, TWO_PI).reshape(th.shape)
 
     def lift(self, theta: float) -> float:
         """Continuous increasing lift; lift(t + 2pi) = lift(t) + 2pi."""
-        ws = self.workspace
-        t = canon_angle(theta)
-        base = theta - t
-        if ws.n == 0:
-            if self.offsets[0] == 0.0:
-                return theta
-            chart = ws.chart(0)
-            return float(chart.invert_lift(chart.phase_of(t) + self.offsets[0])) + base
-        r = self.interval_shift
-        if t < ws.angles[0]:
-            t += TWO_PI
-            base -= TWO_PI
-        for i, a in enumerate(ws.angles):
-            if t == a:
-                k, extra = divmod(i + r, ws.n)
-                return ws.angles[extra] + TWO_PI * k + base
-        j = int(np.searchsorted(ws.angles_arr, canon_angle(t), side="right") - 1) % ws.n
-        tidx = j + r
-        c = self.offsets[j]
-        if r == 0 and c == 0.0:
-            val = t
-        else:
-            src = ws.chart(j)
-            tgt = ws.chart(tidx % ws.n)
-            try:
-                val = float(tgt.invert_lift(src.phase_of(t) + c)) + TWO_PI * (tidx // ws.n)
-            except PhaseRangeError as exc:
-                raise DomainError(str(exc)) from None
-        return val + base
+        return float(self.lift_many(np.asarray([theta], dtype=float))[0])
+
+    def lift_many(self, thetas) -> np.ndarray:
+        """lift at every angle: the image on its target chart's lift, plus
+        the whole turns of the arc index and of the angle itself."""
+        th = np.asarray(thetas, dtype=float)
+        if self.workspace.n == 0 and self.offsets[0] == 0.0:
+            return th.copy()
+        t = canon_angles(th).reshape(-1)
+        raw, turns, wrapped = self._transfer(t)
+        own = (th.reshape(-1) - t) - TWO_PI * wrapped
+        return ((raw + TWO_PI * turns) + own).reshape(th.shape)
 
     # -- certificates and domains ---------------------------------------
-    def cert_radius(self, theta: float) -> float:
+    def cert_radius(self, theta):
         """Certified angular error of apply(theta): phase certificates of
-        both charts divided by the phase derivative at the image."""
-        from .inner_model import phase_derivative
+        both charts divided by the phase derivative at the image.
 
+        Zero where the map is exact: on arcs it fixes and at spectrum
+        points.  An array of angles gives an array of radii, with one
+        apply_many and one slope evaluation per target arc.
+        """
         ws = self.workspace
-        t = canon_angle(theta)
-        j = int(ws.arc_index(t))
-        if ws.n and self.interval_shift == 0 and self.offsets[j] == 0.0:
-            return 0.0
-        image = self.apply(t)
-        src = ws.chart(j)
-        tgt = ws.chart((j + self.interval_shift) % max(ws.n, 1))
-        budget = src.cert_bound + tgt.cert_bound + 1e-14
-        slope = phase_derivative(ws.spec, image, tgt.policy)
-        return budget / slope
+        m = max(ws.n, 1)
+        r = self.interval_shift
+        t = canon_angles(theta).reshape(-1)
+        arc = ws.arc_index(t)
+        radii = np.zeros_like(t)
+        live = np.ones(t.shape, dtype=bool)
+        if ws.n:
+            fixed = np.array([r == 0 and c == 0.0 for c in self.offsets])
+            live = ~(fixed[arc] | (t == ws.angles_arr[arc]))
+        images = self.apply_many(t[live])
+        budget = np.empty_like(images)
+        target = (arc[live] + r) % m
+        for k, sel in _groups(target, m):
+            tgt = ws.chart(k)
+            src = ws.chart((k - r) % m)
+            budget[sel] = src.cert_bound + tgt.cert_bound + 1e-14
+            budget[sel] /= phase_lift(ws.spec, images[sel], tgt.policy, with_slope=True)[1]
+        radii[live] = budget
+        if np.ndim(theta) == 0:
+            return float(radii[0])
+        return radii.reshape(np.shape(theta))
 
     def transfer_policies(self, j: int) -> tuple[TruncationPolicy, TruncationPolicy]:
         """Truncation policies of the charts that arc j is carried between.
@@ -225,37 +238,31 @@ class CircleMap:
 
     def domain(self, j: int):
         """Validity sub-interval of arc j in arc coordinates, or None."""
-        ws = self.workspace
-        if ws.n == 0:
-            return (0.0, TWO_PI)
-        lo, hi = ws.arc_bounds(j)
-        c = self.offsets[j]
-        r = self.interval_shift
-        if r == 0 and c == 0.0:
-            return (lo, hi)
-        src = ws.chart(j)
-        tgt = ws.chart((j + r) % ws.n)
-        p_lo = max(src.phase_lo, tgt.phase_lo - c)
-        p_hi = min(src.phase_hi, tgt.phase_hi - c)
-        if p_lo >= p_hi:
-            return None
-        return (float(src.invert_lift(p_lo)), float(src.invert_lift(p_hi)))
+        return self.workspace.transfer_domain(j, self.interval_shift, self.offsets[j])
 
     def sample_points(self, per_arc: int, guard: float = 1e-3) -> np.ndarray:
         """Evaluation points inside validity domains, away from edges."""
-        ws = self.workspace
-        chunks = []
-        for j in range(max(ws.n, 1)):
-            dom = self.domain(j)
-            if dom is None:
-                continue
-            lo, hi = dom[0] + guard, dom[1] - guard
-            if hi <= lo:
-                continue
-            chunks.append(np.linspace(lo, hi, per_arc))
-        if not chunks:
+        doms = [self.domain(j) for j in range(max(self.workspace.n, 1))]
+        ends = np.array([(d[0] + guard, d[1] - guard) for d in doms if d is not None])
+        if ends.size:
+            ends = ends[ends[:, 1] > ends[:, 0]]
+        if not ends.size:
             return np.empty(0)
-        return np.mod(np.concatenate(chunks), TWO_PI)
+        pts = np.linspace(ends[:, 0], ends[:, 1], per_arc, axis=1)
+        return np.mod(pts.reshape(-1), TWO_PI)
+
+
+def _groups(keys: np.ndarray, count: int):
+    """(k, indices of keys == k) for each k in range(count) that occurs.
+
+    One stable sort instead of one mask per key; the indices of a group
+    keep their original order.
+    """
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(count + 1))
+    for k in range(count):
+        if bounds[k] < bounds[k + 1]:
+            yield k, order[bounds[k] : bounds[k + 1]]
 
 
 def compose_maps(after: CircleMap, first: CircleMap) -> CircleMap:
@@ -307,6 +314,7 @@ class MapWorkspace:
         self.angles_arr = np.asarray(self.angles, dtype=float)
         self._charts: dict[int, PhaseChart] = {}
         self._base: dict[int, float] = {}
+        self._domains: dict[tuple[int, int, float], tuple[float, float] | None] = {}
 
     # -- geometry --------------------------------------------------------
     def arc_bounds(self, j: int) -> tuple[float, float]:
@@ -340,6 +348,30 @@ class MapWorkspace:
             self._base[j] = TWO_PI * round(self.chart(j).midpoint_phase / TWO_PI)
         return self._base[j]
 
+    def transfer_domain(self, j: int, shift: int, offset: float):
+        """Validity sub-interval, in arc coordinates, of a map with arc
+        rotation `shift` and offset `offset` on arc j, or None.
+
+        A pure function of its arguments over this workspace's charts, so
+        it is computed once for all maps that share the transfer form.
+        """
+        if self.n == 0:
+            return (0.0, TWO_PI)
+        key = (j, shift, offset)
+        if key in self._domains:
+            return self._domains[key]
+        dom = self.arc_bounds(j)
+        if shift or offset != 0.0:
+            src, tgt = self.chart(j), self.chart(j + shift)
+            p_lo = max(src.phase_lo, tgt.phase_lo - offset)
+            p_hi = min(src.phase_hi, tgt.phase_hi - offset)
+            dom = None
+            if p_lo < p_hi:
+                x_lo, x_hi = src.invert_lift_many(np.array([p_lo, p_hi]))
+                dom = (float(x_lo), float(x_hi))
+        self._domains[key] = dom
+        return dom
+
     def _anchor_phase(self, j: int) -> float:
         lab = self.labels.labels[j]
         if lab.itype == TYPE_2:
@@ -349,6 +381,20 @@ class MapWorkspace:
         return self.chart(j).phase_lo
 
     # -- generators ------------------------------------------------------
+    def generators(self) -> list[tuple[str, CircleMap]]:
+        """The named generator maps: x1..xk, the shifts of the both-sided
+        arcs, then the rotation y when d > 1; without singularities, x."""
+        if self.n == 0:
+            return [("x", self.build_shift_map(0))]
+        desc = self.descriptor
+        gens = [
+            (f"x{slot + 1}", self.build_shift_map(arc))
+            for slot, arc in enumerate(desc.type2_indices)
+        ]
+        if desc.d > 1:
+            gens.append(("y", self.build_rotation_map(desc.g)))
+        return gens
+
     def identity_map(self) -> CircleMap:
         return CircleMap(self, 0, (0.0,) * max(self.n, 1))
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InnerInvError
-from .inner_model import TruncationPolicy, UnitPoint, phase_derivative
+from .inner_model import TruncationPolicy, canon_angles, phase_lift
 from .classify import TYPE_0, classify_intervals
 from .group_algebra import compute_group, labels_from_report
 from .circle_maps import MapWorkspace
@@ -121,16 +121,7 @@ def _cmd_group(args) -> int:
 def _cmd_maps(args) -> int:
     spec, policy = _load(args)
     report = classify_intervals(spec, policy, args.window)
-    ws = MapWorkspace(report, phase_window=args.window)
-    desc = ws.descriptor
-    gens = []
-    if ws.n == 0:
-        gens.append(("x", ws.build_shift_map(0)))
-    else:
-        for slot, arc in enumerate(desc.type2_indices):
-            gens.append((f"x{slot + 1}", ws.build_shift_map(arc)))
-        if desc.d > 1:
-            gens.append(("y", ws.build_rotation_map(desc.g)))
+    gens = MapWorkspace(report, phase_window=args.window).generators()
     if not gens:
         print("group is trivial: no generator maps to sample")
         return 0
@@ -138,12 +129,13 @@ def _cmd_maps(args) -> int:
     for name, mp in gens:
         pts = mp.sample_points(args.samples)
         images = mp.apply_many(pts)
+        radii = mp.cert_radius(pts)
         path = args.out / f"map_{name}.csv"
         with _create_csv(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "x_theta", "theta_err_cert"])
-            for t, x in zip(pts, images):
-                writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{mp.cert_radius(float(t)):.6g}"])
+            for t, x, rad in zip(pts, images, radii):
+                writer.writerow([f"{t:.17g}", f"{x:.17g}", f"{rad:.6g}"])
         print(f"map {name}: wrote {pts.size} samples to {path}")
     return 0
 
@@ -187,17 +179,14 @@ def _cmd_emit(args) -> int:
         grid = np.linspace(float(chart.thetas[0]), float(chart.thetas[-1]), args.samples)
         # the pointwise derivative is undefined on the spectrum, so exact
         # endpoint hits are dropped (interior points are always regular)
-        keep = np.array(
-            [not spec.is_singular_angle(UnitPoint(float(t)).theta) for t in grid]
-        )
-        grid = grid[keep]
+        grid = grid[~np.isin(canon_angles(grid), spec.singular_angles)]
         phases = chart.phase_of(grid)
+        _, slopes = phase_lift(spec, canon_angles(grid), chart.policy, with_slope=True)
         path = args.out / f"emit_arc{j}.csv"
         with _create_csv(path) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta", "arg_theta_unwrapped", "derivative"])
-            for t, p in zip(grid, phases):
-                d = phase_derivative(spec, UnitPoint(float(t)), chart.policy)
+            for t, p, d in zip(grid, phases, slopes):
                 writer.writerow([f"{t:.17g}", f"{p:.17g}", f"{d:.17g}"])
         print(f"arc {j}: wrote {grid.size} rows to {path}")
     return 0

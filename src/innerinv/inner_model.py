@@ -62,6 +62,12 @@ def canon_angle(theta: float) -> float:
     return r
 
 
+def canon_angles(thetas) -> np.ndarray:
+    """canon_angle of every element, bitwise the same (np.mod rounds like %)."""
+    r = np.mod(np.asarray(thetas, dtype=float), TWO_PI)
+    return np.where(r >= TWO_PI, 0.0, r)
+
+
 def angular_gap(lo: float, hi: float, phi: float) -> float:
     """Shortest angular distance from phi to the closed arc [lo, hi].
 
@@ -497,13 +503,6 @@ def frostman_phase(phi, a: complex):
 # truncation certificates
 
 
-def _chord_to_arc(lo: float, hi: float, delta: float, phi: float) -> float:
-    """Min distance from the zero (1-delta)*exp(i*phi) to the arc [lo, hi]."""
-    gap = angular_gap(lo, hi, phi)
-    r = 1.0 - delta
-    return math.sqrt(delta * delta + 4.0 * r * math.sin(gap / 2.0) ** 2)
-
-
 def _stolz_remainder(tail: StolzTail, lo: float, hi: float, start: int) -> float:
     """Bound for terms n >= start, all clustered at the anchor point."""
     delta1 = tail.c * tail.q ** start
@@ -576,6 +575,37 @@ def _tangential_remainder(tail: TangentialTail, lo: float, hi: float, start_u: i
     return best
 
 
+@functools.lru_cache(maxsize=32)
+def _lookahead_terms(tail: TailFamily, first: int) -> tuple[np.ndarray, ...]:
+    """delta_n, phi_n, delta_n * delta_n and 4 * (1 - delta_n) of the
+    _CERT_LOOKAHEAD terms from n = first on, with (delta_n, phi_n) exactly
+    tail.term(n); read-only arrays."""
+    delta, phi = np.array(
+        [tail.term(n) for n in range(first, first + _CERT_LOOKAHEAD)]
+    ).T.copy()
+    out = (delta, phi, delta * delta, 4.0 * (1.0 - delta))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+# exponents for map(math.pow, ...) over one tail's lookahead terms
+_TWOS = (2.0,) * _CERT_LOOKAHEAD
+
+# asin(x) of the C library is x itself below 2**-26 (glibc, musl).
+_ASIN_IDENTITY = 2.0 ** -26
+
+
+def _libm_asin(x: np.ndarray) -> np.ndarray:
+    """math.asin of every element, bitwise; numpy's arcsin may round
+    differently, so the elements it is not the identity on go through math."""
+    out = x.copy()
+    big = x >= _ASIN_IDENTITY
+    if big.any():
+        out[big] = list(map(math.asin, x[big].tolist()))
+    return out
+
+
 def truncation_error_bound(spec: InnerFunctionSpec, arc: tuple[float, float], n_terms: int) -> float:
     """Sup bound on the phase error of the n_terms truncation over the arc.
 
@@ -585,27 +615,43 @@ def truncation_error_bound(spec: InnerFunctionSpec, arc: tuple[float, float], n_
     inf when an omitted zero's angle touches the arc, since the omitted
     factor's phase branch then jumps inside the arc and no uniform bound
     exists there.  Degenerate arcs (lo == hi) bound the error at one point.
+
+    The lookahead terms are evaluated as arrays, rounded as the scalar
+    angular_gap, math.sin, pow and math.asin round, and added strictly left
+    to right, tail after tail, so the bound is bitwise the sum that a loop
+    over the terms gives.
     """
     lo, hi = float(arc[0]), float(arc[1])
     if hi < lo or hi - lo > TWO_PI + 1e-12:
         raise DomainError("arc must satisfy lo <= hi <= lo + 2*pi")
+    # most calls from the margin-retreat loops end here, on an arc that
+    # still holds the first omitted zero of some tail
+    if any(angular_gap(lo, hi, tail.term(n_terms + 1)[1]) <= 0.0 for tail in spec.tails):
+        return math.inf
+    span = hi - lo
     total = 0.0
     for tail in spec.tails:
-        look = _CERT_LOOKAHEAD
-        for n in range(n_terms + 1, n_terms + look + 1):
-            delta, phi = tail.term(n)
-            gap = angular_gap(lo, hi, phi)
-            if gap <= 0.0:
-                return math.inf
-            d = _chord_to_arc(lo, hi, delta, phi)
-            x = delta / d
-            if x >= 1.0:
-                return math.inf
-            total += 2.0 * math.asin(x)
+        delta, phi, delta_sq, four_r = _lookahead_terms(tail, n_terms + 1)
+        # angular_gap(lo, hi, phi) of every term
+        x = np.mod(phi - lo, TWO_PI)
+        gap = np.where(x <= span, 0.0, np.minimum(x - span, TWO_PI - x))
+        if np.any(gap <= 0.0):
+            return math.inf
+        # chord from each zero (1 - delta) exp(i phi) to the arc: the
+        # square is pow(s, 2), as s ** 2 is in Python, which may round
+        # differently from s * s
+        s2 = np.array(list(map(math.pow, np.sin(gap / 2.0).tolist(), _TWOS)))
+        ratio = delta / np.sqrt(delta_sq + four_r * s2)
+        if np.any(ratio >= 1.0):
+            return math.inf
+        terms = np.concatenate(([total], 2.0 * _libm_asin(ratio)))
+        total = float(np.add.accumulate(terms, out=terms)[-1])
         if isinstance(tail, StolzTail):
-            rem = _stolz_remainder(tail, lo, hi, n_terms + look + 1)
+            rem = _stolz_remainder(tail, lo, hi, n_terms + _CERT_LOOKAHEAD + 1)
         else:
-            rem = _tangential_remainder(tail, lo, hi, n_terms + look + tail.first_u)
+            rem = _tangential_remainder(
+                tail, lo, hi, n_terms + _CERT_LOOKAHEAD + tail.first_u
+            )
         if not math.isfinite(rem):
             return math.inf
         total += rem
@@ -885,7 +931,6 @@ def certifiable_terms(
     spec: InnerFunctionSpec,
     arc: tuple[float, float],
     policy: TruncationPolicy,
-    phase_window: float = DEFAULT_PHASE_WINDOW,
 ) -> int:
     """Smallest doubling of policy.tail_terms whose certificate clears tol.
 
@@ -930,6 +975,6 @@ def build_chart_auto(
     The returned chart's policy records the term count actually used; the
     phase tolerance is never loosened.
     """
-    n = certifiable_terms(spec, arc, policy, phase_window)
+    n = certifiable_terms(spec, arc, policy)
     eff = TruncationPolicy(tail_terms=n, phase_tol=policy.phase_tol)
     return build_phase_chart(spec, arc, eff, phase_window)

@@ -532,3 +532,120 @@ class TestTailKernel:
                 - phase_lift(self.SPEC, t + 2.0 * h, policy)
             ) / (12.0 * h)
             assert s == pytest.approx(fd, rel=1e-7)
+
+
+def _loop_bound(spec, arc, n_terms):
+    """truncation_error_bound with its lookahead as a loop over the terms,
+    one scalar chord distance and math.asin at a time."""
+    from innerinv.inner_model import (
+        _CERT_LOOKAHEAD,
+        _stolz_remainder,
+        _tangential_remainder,
+    )
+
+    lo, hi = float(arc[0]), float(arc[1])
+    total = 0.0
+    for tail in spec.tails:
+        for n in range(n_terms + 1, n_terms + _CERT_LOOKAHEAD + 1):
+            delta, phi = tail.term(n)
+            gap = angular_gap(lo, hi, phi)
+            if gap <= 0.0:
+                return math.inf
+            r = 1.0 - delta
+            d = math.sqrt(delta * delta + 4.0 * r * math.sin(gap / 2.0) ** 2)
+            x = delta / d
+            if x >= 1.0:
+                return math.inf
+            total += 2.0 * math.asin(x)
+        if isinstance(tail, StolzTail):
+            rem = _stolz_remainder(tail, lo, hi, n_terms + _CERT_LOOKAHEAD + 1)
+        else:
+            rem = _tangential_remainder(tail, lo, hi, n_terms + _CERT_LOOKAHEAD + tail.first_u)
+        if not math.isfinite(rem):
+            return math.inf
+        total += rem
+    return total
+
+
+class TestLookahead:
+    def _random_tail(self, rng):
+        anchor = float(rng.uniform(0.0, TWO_PI))
+        if rng.random() < 0.5:
+            return StolzTail(
+                anchor,
+                c=float(rng.uniform(0.05, 0.95)),
+                q=float(rng.uniform(0.3, 0.99)),
+                t=float(rng.uniform(-2.0, 2.0)),
+            )
+        side = "upper" if rng.random() < 0.5 else "lower"
+        return TangentialTail(anchor, side, float(rng.uniform(4.0, 7.0)))
+
+    def test_array_lookahead_is_bitwise_the_loop(self):
+        rng = np.random.default_rng(11)
+        finite = infinite = 0
+        for _ in range(150):
+            tails = tuple(self._random_tail(rng) for _ in range(int(rng.integers(1, 3))))
+            try:
+                spec = InnerFunctionSpec(tails=tails)
+            except DuplicateSingularityError:
+                continue
+            lo = float(rng.uniform(0.0, TWO_PI))
+            # arcs from a point to most of the circle; wide ones reach the zeros
+            hi = lo + float(rng.choice([0.0, 1e-3, 0.1, 1.0, 3.0, 6.0]))
+            n_terms = int(rng.choice([1, 5, 64, 700, 16384]))
+            got = truncation_error_bound(spec, (lo, hi), n_terms)
+            want = _loop_bound(spec, (lo, hi), n_terms)
+            assert got == want, (tails, lo, hi, n_terms)
+            finite += math.isfinite(want)
+            infinite += not math.isfinite(want)
+        assert finite > 20 and infinite > 20
+
+    def test_square_rounds_as_pow(self):
+        # here pow(s, 2) and s * s differ in the last bit of the bound
+        spec = InnerFunctionSpec(
+            tails=(TangentialTail(0.8048979551608688, "upper", 6.284389295991835),)
+        )
+        arc = (4.597960811312944, 4.598960811312945)
+        assert truncation_error_bound(spec, arc, 1) == _loop_bound(spec, arc, 1)
+
+    def test_later_zero_on_arc_returns_inf(self):
+        # zeros at angles 1/3, 1/4, ...: the first omitted one is off the
+        # arc, the second is on it
+        spec = InnerFunctionSpec(tails=(TangentialTail(0.0, "upper", 4.0),))
+        assert truncation_error_bound(spec, (0.2, 0.3), 1) == math.inf
+        assert _loop_bound(spec, (0.2, 0.3), 1) == math.inf
+        assert math.isfinite(truncation_error_bound(spec, (0.35, 3.0), 1))
+
+    def test_ratio_at_one_returns_inf(self):
+        # the first omitted zero sits so close to the arc that the chord
+        # rounds to its radial gap: delta/d == 1
+        tail = TangentialTail(0.0, "upper", 4.0)
+        spec = InnerFunctionSpec(tails=(tail,))
+        _, phi = tail.term(2)
+        arc = (phi + 1e-12, phi + 0.5)
+        assert truncation_error_bound(spec, arc, 1) == math.inf == _loop_bound(spec, arc, 1)
+
+    def test_libm_asin_bitwise(self):
+        from innerinv.inner_model import _libm_asin
+
+        x = 10.0 ** np.random.default_rng(12).uniform(-30.0, -0.1, 20000)
+        assert np.array_equal(_libm_asin(x), [math.asin(v) for v in x])
+
+
+class TestEmitDerivative:
+    def test_column_is_per_row_phase_derivative(self, spec_dir, tmp_path):
+        from innerinv import MapWorkspace, classify_intervals, parse_document
+        from innerinv.cli import run
+
+        path = spec_dir / "mixed_tangential.json"
+        assert run(["emit", str(path), "--out", str(tmp_path), "--samples", "64"]) == 0
+        doc = parse_document(path.read_text())
+        ws = MapWorkspace(classify_intervals(doc.spec, doc.policy))
+        for j in range(max(ws.n, 1)):
+            policy = ws.chart(j).policy
+            rows = (tmp_path / f"emit_arc{j}.csv").read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                theta, _, derivative = row.split(",")
+                want = phase_derivative(doc.spec, UnitPoint(float(theta)), policy)
+                assert derivative == f"{want:.17g}"

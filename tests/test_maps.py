@@ -12,10 +12,13 @@ from innerinv import (
     MapWorkspace,
     NotShiftableError,
     RotationUnavailableError,
+    canon_angle,
     classify_intervals,
     compose_maps,
     enumerate_solutions,
     invert_map,
+    parse_document,
+    phase_derivative,
 )
 from innerinv.group_algebra import IntervalLabel, IntervalLabelSequence
 from innerinv.classify import TYPE_1A, TYPE_1B
@@ -292,3 +295,215 @@ class TestRealize:
         mm = compose_maps(invert_map(m), m)
         assert mm.interval_shift == 0
         assert mm.offsets == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array core against the scalar code it replaced
+
+
+def reference_lift(mp, theta: float) -> float:
+    """CircleMap.lift as it was before lift_many: one point, one dispatch."""
+    ws = mp.workspace
+    t = canon_angle(theta)
+    base = theta - t
+    if ws.n == 0:
+        if mp.offsets[0] == 0.0:
+            return theta
+        chart = ws.chart(0)
+        return float(chart.invert_lift(chart.phase_of(t) + mp.offsets[0])) + base
+    r = mp.interval_shift
+    if t < ws.angles[0]:
+        t += TWO_PI
+        base -= TWO_PI
+    for i, a in enumerate(ws.angles):
+        if t == a:
+            k, extra = divmod(i + r, ws.n)
+            return ws.angles[extra] + TWO_PI * k + base
+    j = int(np.searchsorted(ws.angles_arr, canon_angle(t), side="right") - 1) % ws.n
+    tidx = j + r
+    c = mp.offsets[j]
+    if r == 0 and c == 0.0:
+        val = t
+    else:
+        src = ws.chart(j)
+        tgt = ws.chart(tidx % ws.n)
+        val = float(tgt.invert_lift(src.phase_of(t) + c)) + TWO_PI * (tidx // ws.n)
+    return val + base
+
+
+def reference_apply(mp, theta: float) -> float:
+    """One point through the per-arc dispatch apply_many had before."""
+    ws = mp.workspace
+    th = canon_angle(theta)
+    if ws.n == 0:
+        c = mp.offsets[0]
+        if c == 0.0:
+            return th
+        chart = ws.chart(0)
+        return float(np.mod(chart.invert_lift(chart.phase_of(th) + c), TWO_PI))
+    r = mp.interval_shift
+    for i, a in enumerate(ws.angles):
+        if th == a:
+            return ws.angles[(i + r) % ws.n]
+    j = int(np.searchsorted(ws.angles_arr, th, side="right") - 1)
+    coord = th
+    if j < 0:
+        coord += TWO_PI
+        j = ws.n - 1
+    c = mp.offsets[j]
+    if r == 0 and c == 0.0:
+        return th
+    src = ws.chart(j)
+    tgt = ws.chart((j + r) % ws.n)
+    return float(np.mod(tgt.invert_lift(src.phase_of(coord) + c), TWO_PI))
+
+
+def reference_domain(mp, j):
+    """CircleMap.domain as it was: two scalar inversions, nothing cached."""
+    ws = mp.workspace
+    lo, hi = ws.arc_bounds(j)
+    c, r = mp.offsets[j], mp.interval_shift
+    if r == 0 and c == 0.0:
+        return (lo, hi)
+    src, tgt = ws.chart(j), ws.chart((j + r) % ws.n)
+    p_lo = max(src.phase_lo, tgt.phase_lo - c)
+    p_hi = min(src.phase_hi, tgt.phase_hi - c)
+    if p_lo >= p_hi:
+        return None
+    return (float(src.invert_lift(p_lo)), float(src.invert_lift(p_hi)))
+
+
+@pytest.fixture(scope="module")
+def offset_atoms_ws():
+    # angles[0] > 0, so [0, angles[0]) belongs to the last arc, one turn up
+    spec = InnerFunctionSpec(atoms=(Atom(0.5, 1.0), Atom(0.5 + math.pi, 1.0)))
+    return MapWorkspace(classify_intervals(spec))
+
+
+def _maps_of(ws):
+    y = ws.build_rotation_map(1)
+    x1, x2 = ws.build_shift_map(0), ws.build_shift_map(1, power=-2)
+    return [x1, x2, y, compose_maps(x1, y), compose_maps(y, x2), ws.identity_map()]
+
+
+def _probe_points(mp):
+    ws = mp.workspace
+    pts = mp.sample_points(24)
+    below = pts[pts < ws.angles[0]]
+    assert below.size  # the wrapped part of the last arc is covered
+    return np.concatenate([pts, pts + TWO_PI, below - 3.0 * TWO_PI, ws.angles_arr])
+
+
+class TestArrayCore:
+    def test_lift_many_is_bitwise_scalar_lift(self, offset_atoms_ws):
+        for mp in _maps_of(offset_atoms_ws):
+            ts = _probe_points(mp)
+            want = np.array([reference_lift(mp, float(t)) for t in ts])
+            assert np.array_equal(mp.lift_many(ts), want)
+            assert all(mp.lift(float(t)) == w for t, w in zip(ts[::7], want[::7]))
+
+    def test_apply_many_is_bitwise_scalar_apply(self, offset_atoms_ws):
+        for mp in _maps_of(offset_atoms_ws):
+            ts = _probe_points(mp)
+            want = np.array([reference_apply(mp, float(t)) for t in ts])
+            assert np.array_equal(mp.apply_many(ts), want)
+            assert all(mp.apply(float(t)).theta == w for t, w in zip(ts[::7], want[::7]))
+
+    def test_fixed_arc_below_first_angle_keeps_the_point(self, offset_atoms_ws):
+        # x1 fixes the last arc; its wrapped part must come back unrounded
+        x1 = offset_atoms_ws.build_shift_map(0)
+        ts = np.array([1e-17, 0.1, 0.3, 0.49])
+        assert np.array_equal(x1.apply_many(ts), ts)
+        assert np.array_equal(x1.lift_many(ts), [reference_lift(x1, t) for t in ts])
+
+    def test_spectrum_free_maps(self):
+        ws = MapWorkspace(classify_intervals(InnerFunctionSpec(zero_order=3)))
+        # -1e-300 reduces to 2*pi, which canonicalizes to 0
+        ts = np.append(np.linspace(-7.0, 13.0, 41), [-1e-300, -0.0, TWO_PI])
+        for mp in (ws.identity_map(), ws.build_shift_map(0), ws.build_shift_map(0, -2)):
+            assert np.array_equal(mp.lift_many(ts), [reference_lift(mp, float(t)) for t in ts])
+            assert np.array_equal(mp.apply_many(ts), [reference_apply(mp, float(t)) for t in ts])
+
+    def test_shapes_are_kept(self, offset_atoms_ws):
+        y = offset_atoms_ws.build_rotation_map(1)
+        ts = y.sample_points(6).reshape(2, -1)
+        assert y.apply_many(ts).shape == ts.shape
+        assert np.array_equal(y.lift_many(ts).ravel(), y.lift_many(ts.ravel()))
+
+    def test_domain_error_names_the_arc(self, two_atom_ws):
+        x1 = two_atom_ws.build_shift_map(0)
+        with pytest.raises(DomainError, match="arc 0"):
+            x1.lift_many(np.array([2.0, 1e-6]))
+
+
+class TestCertRadius:
+    @pytest.fixture(scope="class")
+    def stolz_ws(self, spec_dir):
+        doc = parse_document((spec_dir / "stolz.json").read_text())
+        return MapWorkspace(classify_intervals(doc.spec, doc.policy))
+
+    def test_array_is_bitwise_scalar(self, stolz_ws, offset_atoms_ws):
+        for ws in (stolz_ws, offset_atoms_ws):
+            for mp in ([ws.build_shift_map(0)] if ws.n == 1 else _maps_of(ws)):
+                ts = np.concatenate([mp.sample_points(16), ws.angles_arr])
+                radii = mp.cert_radius(ts)
+                want = [mp.cert_radius(float(t)) for t in ts]
+                assert all(type(w) is float for w in want)
+                assert np.array_equal(radii, want)
+                grid = ts[: ts.size // 2 * 2].reshape(2, -1)
+                assert np.array_equal(mp.cert_radius(grid), radii[: grid.size].reshape(2, -1))
+
+    def test_scalar_matches_the_certificate_formula(self, stolz_ws):
+        mp = stolz_ws.build_shift_map(0)
+        chart = stolz_ws.chart(0)
+        assert chart.cert_bound > 0.0
+        for t in mp.sample_points(5):
+            image = mp.apply(float(t))
+            slope = phase_derivative(stolz_ws.spec, image, chart.policy)
+            assert mp.cert_radius(float(t)) == (2.0 * chart.cert_bound + 1e-14) / slope
+
+    def test_zero_at_spectrum_points(self, spec_dir):
+        doc = parse_document((spec_dir / "two_atoms.json").read_text())
+        ws = MapWorkspace(classify_intervals(doc.spec, doc.policy))
+        x1 = ws.build_shift_map(0)
+        assert x1.apply(0.0).theta == 0.0
+        assert x1.cert_radius(0.0) == 0.0
+        assert x1.cert_radius(math.pi) == 0.0
+        assert np.array_equal(x1.cert_radius(ws.angles_arr), [0.0, 0.0])
+
+
+class TestDomains:
+    def test_shared_transfer_form_shares_the_domain(self, four_atom_report):
+        ws = MapWorkspace(four_atom_report)
+        x1, x2 = ws.build_shift_map(0), ws.build_shift_map(1)
+        both = compose_maps(x1, x2)
+        assert both.offsets[0] == x1.offsets[0] and both is not x1
+        first = x1.domain(0)
+        assert both.domain(0) is first
+        assert first == reference_domain(x1, 0)
+        assert both.domain(1) == reference_domain(x2, 1)
+        fresh = MapWorkspace(four_atom_report)
+        assert fresh.build_shift_map(0).domain(0) == first
+
+    def test_sample_points_are_bitwise_per_arc_linspace(self, offset_atoms_ws):
+        for mp in _maps_of(offset_atoms_ws):
+            chunks = []
+            for j in range(offset_atoms_ws.n):
+                dom = reference_domain(mp, j)
+                if dom is not None and dom[1] - 1e-3 > dom[0] + 1e-3:
+                    chunks.append(np.linspace(dom[0] + 1e-3, dom[1] - 1e-3, 33))
+            want = np.mod(np.concatenate(chunks), TWO_PI)
+            assert np.array_equal(mp.sample_points(33), want)
+
+
+class TestGenerators:
+    def test_names_and_maps(self, two_atom_ws):
+        gens = two_atom_ws.generators()
+        assert [name for name, _ in gens] == ["x1", "x2", "y"]
+        assert gens[2][1].interval_shift == 1
+        assert gens[0][1].offsets == two_atom_ws.build_shift_map(0).offsets
+
+    def test_spectrum_free_has_one_shift(self):
+        ws = MapWorkspace(classify_intervals(InnerFunctionSpec(zero_order=3)))
+        ((name, mp),) = ws.generators()
+        assert name == "x" and mp.offsets == (TWO_PI,)
