@@ -318,12 +318,7 @@ class MapWorkspace:
 
     # -- geometry --------------------------------------------------------
     def arc_bounds(self, j: int) -> tuple[float, float]:
-        if self.n == 0:
-            return (0.0, TWO_PI)
-        j %= self.n
-        lo = self.angles[j]
-        hi = self.angles[j + 1] if j + 1 < self.n else self.angles[0] + TWO_PI
-        return (lo, hi)
+        return self.spec.arc_bounds(j)
 
     def arc_index(self, thetas):
         """Index of the arc [angles[j], angles[j+1]) holding each angle."""

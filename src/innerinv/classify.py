@@ -337,13 +337,12 @@ def classify_intervals(
     intervals = []
     n = len(angles)
     for i in range(n):
-        lo = angles[i]
-        hi = angles[(i + 1) % n] if i + 1 < n else angles[0] + TWO_PI
-        lo_acc = spec.accumulates_into(lo, +1)
-        hi_acc = spec.accumulates_into(hi, -1)
+        lo, hi = spec.arc_bounds(i)
+        lo_acc, hi_acc = spec.arc_accumulation(lo, hi)
         itype = _interval_type(lo_acc, hi_acc)
-        limit_lo = None if lo_acc else one_sided_limit(spec, UnitPoint(lo), "above", policy)
-        limit_hi = None if hi_acc else one_sided_limit(spec, UnitPoint(hi), "below", policy)
+        # a point's limit is taken on its free side, the side this arc is on
+        limit_lo = None if lo_acc else sings[i].limit
+        limit_hi = None if hi_acc else sings[(i + 1) % n].limit
         phase_span = None
         image = None
         if itype == TYPE_0:

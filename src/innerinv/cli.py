@@ -178,8 +178,8 @@ def _cmd_emit(args) -> int:
         chart = ws.chart(j)
         grid = np.linspace(float(chart.thetas[0]), float(chart.thetas[-1]), args.samples)
         # the pointwise derivative is undefined on the spectrum, so exact
-        # endpoint hits are dropped (interior points are always regular)
-        grid = grid[~np.isin(canon_angles(grid), spec.singular_angles)]
+        # hits of the arc's ends are dropped (interior points are regular)
+        grid = grid[~np.isin(grid, ws.arc_bounds(j))] if ws.n else grid
         phases = chart.phase_of(grid)
         _, slopes = phase_lift(spec, canon_angles(grid), chart.policy, with_slope=True)
         path = args.out / f"emit_arc{j}.csv"

@@ -276,6 +276,24 @@ class InnerFunctionSpec:
                     return True
         return False
 
+    def arc_bounds(self, j: int) -> tuple[float, float]:
+        """(angles[j], angles[j + 1]), the last arc ending at angles[0] + 2*pi;
+        the whole circle when there is no spectrum point."""
+        angles = self.singular_angles
+        if not angles:
+            return (0.0, TWO_PI)
+        j %= len(angles)
+        hi = angles[j + 1] if j + 1 < len(angles) else angles[0] + TWO_PI
+        return (angles[j], hi)
+
+    def arc_accumulation(self, lo: float, hi: float) -> tuple[bool, bool]:
+        """(lo_acc, hi_acc): whether solutions pile up into the arc at each
+        end.  The wrap end of arc_bounds is read at angles[0], not mod 2*pi."""
+        angles = self.singular_angles
+        if angles and hi == angles[0] + TWO_PI:
+            hi = angles[0]
+        return self.accumulates_into(lo, +1), self.accumulates_into(hi, -1)
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -827,6 +845,25 @@ def _march(spec, policy, start_theta, start_phase, bound_theta, budget_phase, di
     return thetas, phases
 
 
+def _certified_subarc(spec, lo, hi, lo_acc, hi_acc, n_terms, tol):
+    """(lo_eff, hi_eff, bound) of the first sub-arc whose bound clears tol:
+    the whole arc, then retreats of span * 1e-6 * 2^k from accumulating ends
+    while the retreat is at most 0.2 * span.  Otherwise the last try, its
+    bound above tol."""
+    span = hi - lo
+    lo_eff, hi_eff = lo, hi
+    margin = span * 1e-6
+    while True:
+        bound = truncation_error_bound(spec, (lo_eff, hi_eff), n_terms)
+        if bound <= tol or not (lo_acc or hi_acc) or margin > 0.2 * span:
+            return lo_eff, hi_eff, bound
+        if lo_acc:
+            lo_eff = lo + margin
+        if hi_acc:
+            hi_eff = hi - margin
+        margin *= 2.0
+
+
 def build_phase_chart(
     spec: InnerFunctionSpec,
     arc: tuple[float, float],
@@ -856,28 +893,14 @@ def build_phase_chart(
     if full_circle and spec.finite_degree == 0:
         raise InvalidArcError("constant inner function has no phase chart")
 
-    lo_acc = spec.accumulates_into(lo, +1) if spec.is_singular_angle(lo) else False
-    hi_acc = spec.accumulates_into(hi, -1) if spec.is_singular_angle(hi) else False
-
-    # retreat from tail anchors until the certificate clears the policy
-    lo_eff, hi_eff = lo, hi
-    cert = truncation_error_bound(spec, (lo_eff, hi_eff), policy.tail_terms)
-    margin = span * 1e-6
-    while cert > policy.phase_tol:
-        if margin > 0.4 * span:
-            raise TruncationError(
-                f"truncation bound {cert} exceeds phase_tol {policy.phase_tol} on the arc"
-            )
-        if lo_acc:
-            lo_eff = lo + margin
-        if hi_acc:
-            hi_eff = hi - margin
-        if not (lo_acc or hi_acc):
-            raise TruncationError(
-                f"truncation bound {cert} exceeds phase_tol {policy.phase_tol} on the arc"
-            )
-        cert = truncation_error_bound(spec, (lo_eff, hi_eff), policy.tail_terms)
-        margin *= 2.0
+    lo_acc, hi_acc = spec.arc_accumulation(lo, hi)
+    lo_eff, hi_eff, cert = _certified_subarc(
+        spec, lo, hi, lo_acc, hi_acc, policy.tail_terms, policy.phase_tol
+    )
+    if cert > policy.phase_tol:
+        raise TruncationError(
+            f"truncation bound {cert} exceeds phase_tol {policy.phase_tol} on the arc"
+        )
 
     mid = 0.5 * (lo + hi)
     mid_phase = phase_lift(spec, mid, policy)
@@ -936,28 +959,17 @@ def certifiable_terms(
 
     Tangential certificates decay only polynomially in the term count, so a
     fixed default may be far too small even on arcs that are nowhere near
-    the accumulating zeros.  The probe mimics the chart builder's margin
-    retreat for the accumulating sides, so the answer matches what a chart
-    build at that term count would certify.
+    the accumulating zeros.  Each count is tried with the same margin
+    retreat that build_phase_chart makes, so a chart built at the returned
+    count certifies on the same sub-arc.
     """
     lo, hi = float(arc[0]), float(arc[1])
-    lo_acc = spec.accumulates_into(lo, +1) if spec.is_singular_angle(lo) else False
-    hi_acc = spec.accumulates_into(hi, -1) if spec.is_singular_angle(hi) else False
-    span = hi - lo
+    lo_acc, hi_acc = spec.arc_accumulation(lo, hi)
     n = policy.tail_terms
     while n <= _TERMS_CAP:
-        margin = span * 1e-6
-        lo_eff, hi_eff = lo, hi
-        while margin <= 0.4 * span:
-            if truncation_error_bound(spec, (lo_eff, hi_eff), n) <= policy.phase_tol:
-                return n
-            if not (lo_acc or hi_acc):
-                break
-            if lo_acc:
-                lo_eff = lo + margin
-            if hi_acc:
-                hi_eff = hi - margin
-            margin *= 2.0
+        bound = _certified_subarc(spec, lo, hi, lo_acc, hi_acc, n, policy.phase_tol)[2]
+        if bound <= policy.phase_tol:
+            return n
         n *= 2
     raise TruncationError(
         f"no term count up to {_TERMS_CAP} certifies phase_tol {policy.phase_tol} on the arc"

@@ -1,7 +1,11 @@
 """Verification suite behavior: positive runs and negative controls."""
 
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from innerinv import (
@@ -23,6 +27,7 @@ from innerinv import (
 from innerinv.checks import FoldedControlMap, OffsetControlMap, check_frostman_types
 
 GARNETT_HALF_PI = 0.39758361765043326
+TWO_PI = 2.0 * math.pi
 
 
 class TestCheckReport:
@@ -61,6 +66,38 @@ class TestNumericalIdentities:
         assert rep.passed
         assert rep.samples == 50
         assert rep.max_error < 1e-8
+
+    def test_antiderivative_against_scipy_quad(self):
+        from scipy.integrate import quad
+
+        from innerinv import poisson_kernel
+        from innerinv.checks import _poisson_quadrature
+
+        rng = np.random.default_rng(3)
+        cases = [(0.0, 0.0, math.pi / 2), (0.5, 0.0, math.pi / 2)]
+        cases += [
+            (rng.uniform(0.0, 0.95), rng.uniform(0.0, TWO_PI), rng.uniform(0.05, TWO_PI - 0.05))
+            for _ in range(200)
+        ]
+        for modulus, argument, eps in cases:
+            oracle, _ = quad(
+                lambda t: poisson_kernel(modulus, t - argument),
+                0.0,
+                eps,
+                limit=200,
+                epsabs=1e-13,
+                epsrel=1e-13,
+            )
+            got = _poisson_quadrature(DiskZero(modulus, argument), eps)
+            assert got == pytest.approx(oracle / TWO_PI, abs=1e-12)
+
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, innerinv; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
     def test_seed_reproducibility(self):
         a = check_garnett_identity(seed=9)

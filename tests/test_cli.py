@@ -142,6 +142,19 @@ class TestEmitCommand:
         assert phases == sorted(phases)
         assert all(float(r[2]) > 0 for r in rows[1:])
 
+    def test_spectrum_end_dropped_at_generic_anchor(self, spec_dir, tmp_path):
+        # the arc ends at 2.72 + 2*pi, which is not 2.72 again mod 2*pi
+        doc = json.loads((spec_dir / "tangential_upper.json").read_text())
+        doc["tails"][0]["anchor_theta"] = 2.72
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "emit"
+        assert run(["emit", str(path), "--out", str(out_dir), "--samples", "16"]) == 0
+        with open(out_dir / "emit_arc0.csv", newline="") as fh:
+            thetas = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+        assert len(thetas) == 15
+        assert 2.72 + 2.0 * math.pi not in thetas
+
     def test_rerun_writes_new_files(self, two_atom_path, tmp_path):
         # an old output is replaced by a new file, not truncated in place
         out_dir = tmp_path / "emit"
